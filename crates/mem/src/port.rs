@@ -24,7 +24,7 @@ use secpref_types::Cycle;
 /// assert!(!p.try_acquire(10)); // both ports used this cycle
 /// assert!(p.try_acquire(11));  // fresh cycle, fresh ports
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortScheduler {
     ports: usize,
     current_cycle: Cycle,
@@ -97,6 +97,41 @@ impl PortScheduler {
             self.total_rejected += 1;
             false
         }
+    }
+
+    /// Whether an acquisition at `cycle` would be rejected right now:
+    /// [`PortScheduler::try_acquire`] (`low_priority == false`) or
+    /// [`PortScheduler::try_acquire_low_priority`] would return `false`.
+    /// Does not change any state.
+    #[inline]
+    pub fn would_reject(&self, cycle: Cycle, low_priority: bool) -> bool {
+        let used = if cycle > self.current_cycle {
+            0
+        } else {
+            self.used
+        };
+        if low_priority {
+            used + 1 >= self.ports
+        } else {
+            used >= self.ports
+        }
+    }
+
+    /// Records `n` rejected acquisitions at `cycle`, leaving the same
+    /// state as `n` failing `try_acquire*` calls would. The caller must
+    /// have checked [`PortScheduler::would_reject`] for the priority in
+    /// question: a rejection grants nothing, so all `n` calls would have
+    /// failed alike.
+    pub fn reject_n(&mut self, cycle: Cycle, n: u64) {
+        debug_assert!(cycle >= self.current_cycle);
+        if n == 0 {
+            return;
+        }
+        if cycle > self.current_cycle {
+            self.current_cycle = cycle;
+            self.used = 0;
+        }
+        self.total_rejected += n;
     }
 
     /// Slots consumed over the whole simulation.
@@ -172,6 +207,72 @@ mod tests {
             p.total_acquired() + p.total_rejected(),
             (CYCLES as usize * CALLS_PER_CYCLE) as u64
         );
+    }
+
+    /// `would_reject` + `reject_n` is the bulk form of `n` failing
+    /// `try_acquire*` calls: same verdict, same end state, including a
+    /// rollover into a fresh cycle and the 1-port low-priority case
+    /// (rejected even on a fresh cycle).
+    #[test]
+    fn reject_n_matches_n_failing_acquisitions() {
+        // (ports, grants already taken at cycle 5, probe cycle, priority)
+        let cases = [
+            (2, 2, 5, false), // demand, same cycle, ports exhausted
+            (2, 1, 5, true),  // low priority, last slot reserved
+            (3, 2, 5, true),
+            (1, 0, 5, true), // 1 port: low priority never granted
+            (1, 0, 9, true), // ... even after rolling into a new cycle
+            (1, 1, 5, false),
+        ];
+        for (ports, taken, cycle, low) in cases {
+            let mut bulk = PortScheduler::new(ports);
+            for _ in 0..taken {
+                assert!(bulk.try_acquire(5));
+            }
+            let mut one_by_one = bulk.clone();
+            assert!(
+                bulk.would_reject(cycle, low),
+                "case {ports}/{taken}/{cycle}/{low}"
+            );
+            let n = 4;
+            bulk.reject_n(cycle, n);
+            for _ in 0..n {
+                let granted = if low {
+                    one_by_one.try_acquire_low_priority(cycle)
+                } else {
+                    one_by_one.try_acquire(cycle)
+                };
+                assert!(!granted);
+            }
+            assert_eq!(bulk, one_by_one, "case {ports}/{taken}/{cycle}/{low}");
+        }
+    }
+
+    /// `would_reject` agrees with the real acquisition on every state,
+    /// and never changes state itself.
+    #[test]
+    fn would_reject_predicts_acquisition() {
+        for ports in 1..4 {
+            for taken in 0..=ports {
+                for cycle in [5u64, 6] {
+                    for low in [false, true] {
+                        let mut p = PortScheduler::new(ports);
+                        for _ in 0..taken {
+                            p.try_acquire(5);
+                        }
+                        let before = p.clone();
+                        let predicted = p.would_reject(cycle, low);
+                        assert_eq!(p, before);
+                        let granted = if low {
+                            p.try_acquire_low_priority(cycle)
+                        } else {
+                            p.try_acquire(cycle)
+                        };
+                        assert_eq!(predicted, !granted, "{ports}/{taken}/{cycle}/{low}");
+                    }
+                }
+            }
+        }
     }
 
     mod props {

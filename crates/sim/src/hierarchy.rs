@@ -35,9 +35,12 @@ use secpref_types::{
     AccessKind, Addr, CacheConfig, CacheLevel, CoreId, Cycle, FillInfo, HitLevel, Ip, LineAddr,
     PrefetchMode, PrefetchRequest, PrefetcherKind, SystemConfig,
 };
+use std::collections::VecDeque;
 
 const EV_ACCESS: u8 = 0;
 const EV_RESPONSE: u8 = 1;
+/// Wheel tag of a retry run; the entry's id indexes `Hierarchy::runs`.
+const EV_RUN: u8 = 2;
 /// Maximum in-flight prefetch requests per core (prefetch queue depth);
 /// excess proposals are dropped at injection.
 const PF_QUEUE_DEPTH: usize = 48;
@@ -82,6 +85,9 @@ struct Req {
     hit_prefetched: bool,
     hit_pf_latency: u32,
     hit_level: HitLevel,
+    /// Failed access attempts so far. While the request sits in a retry
+    /// run the count lives in the run (see [`RetryRun::members`]) and is
+    /// written back when the request is processed again.
     retries: u32,
     /// Prefetch fills into L1D (true) or stops at L2 (false).
     pf_fill_l1: bool,
@@ -92,7 +98,8 @@ struct Req {
     holds_l1_slot: bool,
     /// Metrics for the current level access were already recorded.
     counted: bool,
-    /// Parked waiting for MSHR space (retries skip the port).
+    /// Parked waiting for MSHR space: retries skip the port and join the
+    /// level's MSHR retry run, not its port-stall run.
     waiting_mshr: bool,
     /// Telemetry counted this request as a demand access (set only while
     /// armed, so histogram totals reconcile with the report counters).
@@ -101,6 +108,44 @@ struct Req {
     /// of the L1D load-latency histogram).
     served_by_gm: bool,
     alive: bool,
+}
+
+/// What the members of a retry run are blocked on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Blocker {
+    /// The level's MSHR file is full.
+    Mshr,
+    /// The level's ports are exhausted for this priority class.
+    Port { low_priority: bool },
+}
+
+/// Requests share a retry run only when they wait on the same check.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RunKey {
+    core: CoreId,
+    lvl: u8,
+    on: Blocker,
+}
+
+/// Consecutive blocked requests with one [`RunKey`], queued as a single
+/// wheel entry. The members occupy exactly the bucket positions they
+/// would hold as separate entries (a request joins a run only while the
+/// run is the last entry of its bucket), so draining the run member by
+/// member is draining those entries back to back. While the key's check
+/// fails it fails for every remaining member alike, and the whole run
+/// moves to the next cycle in one step.
+#[derive(Debug)]
+struct RetryRun {
+    key: RunKey,
+    /// `(request id, deadline)`, in drain order. A member that joined at
+    /// cycle `j` with retry count `r` fails once per cycle from `j + 1`
+    /// on (a run queued at `now + 1` makes [`Hierarchy::next_due`]
+    /// return `now + 1`, so the run loops tick every such cycle), so its
+    /// count reaches [`MAX_RETRIES`] on the failure at cycle
+    /// `deadline = j + MAX_RETRIES - r`.
+    members: VecDeque<(u32, Cycle)>,
+    /// Lower bound on the members' deadlines (exact until members leave).
+    deadline: Cycle,
 }
 
 struct LevelState {
@@ -157,6 +202,10 @@ pub struct Hierarchy {
     reqs: Vec<Req>,
     free: Vec<u32>,
     events: EventWheel,
+    /// Retry runs (wheel tag [`EV_RUN`]); each live run is queued in the
+    /// wheel exactly once. Freed runs keep their queues for reuse.
+    runs: Vec<RetryRun>,
+    free_runs: Vec<u32>,
     /// Spare waiter vectors recycled across MSHR merge/complete cycles.
     waiter_pool: Vec<Vec<u32>>,
     /// Completed demand loads, drained by the system each cycle:
@@ -261,6 +310,8 @@ impl Hierarchy {
             reqs: Vec::with_capacity(4096),
             free: Vec::new(),
             events: EventWheel::new(),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
             waiter_pool: Vec::new(),
             completions: Vec::new(),
             metrics: vec![CoreMetrics::default(); cores],
@@ -539,7 +590,12 @@ impl Hierarchy {
             self.schedule(now, rid, EV_RESPONSE);
         }
         self.dram_done = done;
-        while let Some((rid, kind)) = self.events.pop_due(now) {
+        while let Some((id, kind)) = self.events.pop_due(now) {
+            if kind == EV_RUN {
+                self.drain_run(now, id);
+                continue;
+            }
+            let rid = id;
             let req = &self.reqs[rid as usize];
             if !req.alive {
                 continue;
@@ -618,6 +674,10 @@ impl Hierarchy {
         }
     }
 
+    /// Re-queues a blocked request for the next cycle. Cache-level
+    /// retries join the retry run at the tail of that cycle's bucket when
+    /// it waits on the same check, or start a new one; DRAM enqueue
+    /// rejects (rare) retry one by one.
     fn retry(&mut self, now: Cycle, rid: u32) {
         let req = &mut self.reqs[rid as usize];
         req.retries += 1;
@@ -627,7 +687,157 @@ impl Hierarchy {
             req.kind,
             req.cur_level
         );
-        self.schedule(now + 1, rid, EV_ACCESS);
+        if req.cur_level == 3 {
+            self.schedule(now + 1, rid, EV_ACCESS);
+            return;
+        }
+        let key = RunKey {
+            core: req.core,
+            lvl: req.cur_level,
+            on: if req.waiting_mshr {
+                Blocker::Mshr
+            } else {
+                Blocker::Port {
+                    low_priority: matches!(req.kind, ReqKind::Prefetch),
+                }
+            },
+        };
+        let deadline = now + Cycle::from(MAX_RETRIES - req.retries);
+        let id = match self.events.tail(now + 1) {
+            Some((id, EV_RUN)) if self.runs[id as usize].key == key => id,
+            _ => {
+                let id = self.new_run(key);
+                self.schedule(now + 1, id, EV_RUN);
+                id
+            }
+        };
+        let run = &mut self.runs[id as usize];
+        run.members.push_back((rid, deadline));
+        run.deadline = run.deadline.min(deadline);
+    }
+
+    fn new_run(&mut self, key: RunKey) -> u32 {
+        if let Some(id) = self.free_runs.pop() {
+            let run = &mut self.runs[id as usize];
+            debug_assert!(run.members.is_empty());
+            run.key = key;
+            run.deadline = Cycle::MAX;
+            return id;
+        }
+        self.runs.push(RetryRun {
+            key,
+            members: VecDeque::new(),
+            deadline: Cycle::MAX,
+        });
+        (self.runs.len() - 1) as u32
+    }
+
+    /// Whether the check that `key`'s requests wait on still fails.
+    fn blocked(&self, now: Cycle, key: RunKey) -> bool {
+        let level = match key.lvl {
+            0 => &self.l1d[key.core],
+            1 => &self.l2[key.core],
+            _ => &self.llc,
+        };
+        match key.on {
+            Blocker::Mshr => level.mshr.is_full(),
+            Blocker::Port { low_priority } => level.ports.would_reject(now, low_priority),
+        }
+    }
+
+    /// Drains a popped retry run: members go through [`Self::on_access`]
+    /// one at a time, in order, for as long as the key's check passes;
+    /// the first member it blocks moves to the next cycle together with
+    /// everyone behind it.
+    fn drain_run(&mut self, now: Cycle, id: u32) {
+        let key = self.runs[id as usize].key;
+        while let Some(&(rid, deadline)) = self.runs[id as usize].members.front() {
+            if self.blocked(now, key) {
+                self.prof.enter(level_phase(key.lvl));
+                self.requeue_run(now, id);
+                self.prof.exit();
+                return;
+            }
+            self.runs[id as usize].members.pop_front();
+            let req = &mut self.reqs[rid as usize];
+            debug_assert!(req.alive && req.cur_level == key.lvl);
+            req.retries = MAX_RETRIES - 1 - (deadline - now) as u32;
+            self.prof.enter(level_phase(key.lvl));
+            self.on_access(now, rid);
+            self.prof.exit();
+        }
+        self.free_runs.push(id);
+    }
+
+    /// Moves the rest of popped run `id` to `now + 1`, applying the
+    /// effects of each member failing its check once: the retry count
+    /// (implicit in the deadline) and, for port stalls, the stall and
+    /// reject counters and one `PortStall` event per member.
+    fn requeue_run(&mut self, now: Cycle, id: u32) {
+        let run = &mut self.runs[id as usize];
+        let key = run.key;
+        if run.deadline <= now {
+            if let Some(&(rid, _)) = run.members.iter().find(|&&(_, d)| d <= now) {
+                let req = &self.reqs[rid as usize];
+                panic!(
+                    "request livelocked: {:?} at level {}",
+                    req.kind, req.cur_level
+                );
+            }
+            run.deadline = run
+                .members
+                .iter()
+                .map(|&(_, d)| d)
+                .min()
+                .unwrap_or(Cycle::MAX);
+        }
+        if let Blocker::Port { .. } = key.on {
+            let n = run.members.len() as u64;
+            self.level_metrics(key.core, key.lvl).port_stalls += n;
+            let ports = match key.lvl {
+                0 => &mut self.l1d[key.core].ports,
+                1 => &mut self.l2[key.core].ports,
+                _ => &mut self.llc.ports,
+            };
+            ports.reject_n(now, n);
+            if self.obs.is_enabled() {
+                for &(rid, _) in &self.runs[id as usize].members {
+                    self.obs.record(Event {
+                        cycle: now,
+                        line: self.reqs[rid as usize].line,
+                        arg: key.lvl as u32,
+                        core: key.core as u16,
+                        kind: EventKind::PortStall,
+                    });
+                }
+            }
+        }
+        match self.events.tail(now + 1) {
+            Some((tail, EV_RUN)) if self.runs[tail as usize].key == key => {
+                self.merge_runs(tail, id);
+            }
+            _ => self.schedule(now + 1, id, EV_RUN),
+        }
+    }
+
+    /// Appends popped run `id` to the queued run `tail` (same key, last
+    /// entry of its bucket) and frees `id`. Whichever queue is shorter
+    /// is the one copied.
+    fn merge_runs(&mut self, tail: u32, id: u32) {
+        let mut moved = std::mem::take(&mut self.runs[id as usize].members);
+        let deadline = self.runs[id as usize].deadline;
+        let t = &mut self.runs[tail as usize];
+        if t.members.len() <= moved.len() {
+            while let Some(m) = t.members.pop_back() {
+                moved.push_front(m);
+            }
+            std::mem::swap(&mut t.members, &mut moved);
+        } else {
+            t.members.append(&mut moved);
+        }
+        t.deadline = t.deadline.min(deadline);
+        self.runs[id as usize].members = moved;
+        self.free_runs.push(id);
     }
 
     fn on_access(&mut self, now: Cycle, rid: u32) {
@@ -1514,11 +1724,17 @@ impl Hierarchy {
         self.dram.stats()
     }
 
-    /// Debug snapshot: (queued events, live requests, L1 MSHR occupancy,
-    /// L1 inflight count) — used by the livelock watchdog.
+    /// Debug snapshot: (queued requests, live requests, L1 MSHR
+    /// occupancy, L1 inflight count) — used by the livelock watchdog.
+    /// Queued requests count every member of a retry run, not the run's
+    /// single wheel entry.
     pub fn debug_state(&self, core: CoreId) -> (usize, usize, usize, usize) {
+        // Freed runs are empty, so summing over every run counts exactly
+        // the parked requests.
+        let queued_runs = self.runs.len() - self.free_runs.len();
+        let parked: usize = self.runs.iter().map(|r| r.members.len()).sum();
         (
-            self.events.len(),
+            self.events.len() - queued_runs + parked,
             self.reqs.len() - self.free.len(),
             self.l1d[core].mshr.occupancy(),
             self.l1_inflight[core],

@@ -1,12 +1,18 @@
 //! A bucketed time wheel for the hierarchy's event queue.
 //!
 //! The memory system schedules almost every event a small, bounded number
-//! of cycles ahead (cache latencies, port retries, next-cycle MSHR
-//! re-checks), so a ring of per-cycle FIFO buckets gives O(1) push/pop
-//! where the `BinaryHeap` it replaces paid an O(log n) sift on every
-//! event — the single hottest operation in the whole simulator under a
-//! profiler. Events beyond the wheel horizon (rare: long TLB walks or
-//! deeply backed-up DRAM) fall back to a small heap.
+//! of cycles ahead (cache latencies, next-cycle retries), so a ring of
+//! per-cycle FIFO buckets gives O(1) push/pop where the `BinaryHeap` it
+//! replaces paid an O(log n) sift on every event — the single hottest
+//! operation in the whole simulator under a profiler. Events beyond the
+//! wheel horizon (rare: long TLB walks or deeply backed-up DRAM) fall
+//! back to a small heap.
+//!
+//! Requests blocked on a full MSHR file or an exhausted port do not sit
+//! here one entry each: the hierarchy coalesces consecutive blocked
+//! requests with the same retry key into one *retry run* entry, using
+//! [`EventWheel::tail`] to find the run it may extend. The wheel itself
+//! only stores `(id, kind)` pairs and knows nothing about runs.
 //!
 //! # Ordering
 //!
@@ -95,6 +101,20 @@ impl EventWheel {
             self.seq += 1;
             self.overflow.push(Reverse((at, self.seq, rid, kind)));
         }
+    }
+
+    /// The most recent entry pushed for cycle `at`, while `at` is a
+    /// future cycle inside the wheel horizon; `None` otherwise (the
+    /// cycle being drained, late and overflow cycles, or an empty
+    /// bucket). A `Some` entry has not been popped, and nothing was
+    /// pushed for `at` after it, so whatever it stands for may be
+    /// extended in place without changing drain order.
+    #[inline]
+    pub fn tail(&self, at: Cycle) -> Option<(u32, u8)> {
+        if at <= self.next || at - self.next >= WHEEL_SLOTS as Cycle {
+            return None;
+        }
+        self.buckets[at as usize & MASK].last().copied()
     }
 
     /// The first occupied slot's cycle at or after `from`, scanning the
@@ -287,6 +307,55 @@ mod tests {
         assert_eq!(drain(&mut w, 6), vec![(2, 0), (3, 0), (4, 0)]);
         assert_eq!(drain(&mut w, 10), vec![(1, 0)]);
         assert_eq!(w.len(), 0);
+    }
+
+    #[test]
+    fn tail_is_last_push_for_a_future_cycle() {
+        let mut w = EventWheel::new();
+        assert_eq!(w.tail(3), None, "empty bucket");
+        w.push(3, 1, 0);
+        w.push(3, 2, 1);
+        w.push(4, 9, 0);
+        assert_eq!(w.tail(3), Some((2, 1)));
+        assert_eq!(w.tail(4), Some((9, 0)));
+        // Outside the horizon: the entry went to the overflow heap.
+        let far = WHEEL_SLOTS as Cycle + 10;
+        w.push(far, 5, 0);
+        assert_eq!(w.tail(far), None);
+    }
+
+    #[test]
+    fn tail_is_none_for_the_cycle_being_drained() {
+        let mut w = EventWheel::new();
+        w.push(5, 1, 0);
+        w.push(5, 2, 0);
+        assert_eq!(w.pop_due(5), Some((1, 0)));
+        assert_eq!(w.pop_due(5), Some((2, 0)));
+        // Both popped, bucket not yet cleared: its tail is stale.
+        assert_eq!(w.tail(5), None);
+        w.push(6, 3, 0);
+        assert_eq!(w.tail(6), Some((3, 0)), "next cycle is still future");
+        assert_eq!(w.pop_due(5), None);
+        // Drain point now sits at 6; behind it is late territory.
+        assert_eq!(w.tail(6), None);
+        assert_eq!(w.tail(4), None);
+    }
+
+    #[test]
+    fn tail_returns_no_stale_entry_after_slot_aliasing() {
+        let mut w = EventWheel::new();
+        w.push(1, 1, 0);
+        let aliased = 1 + WHEEL_SLOTS as Cycle;
+        assert_eq!(w.pop_due(1), Some((1, 0)));
+        // Popped but not yet cleared: the slot still holds it.
+        assert_eq!(w.tail(aliased), None);
+        assert_eq!(w.pop_due(1), None);
+        // Cleared, and `aliased` is now inside the horizon.
+        assert_eq!(w.tail(aliased), None);
+        assert_eq!(drain(&mut w, 10), vec![]);
+        assert_eq!(w.tail(aliased), None, "consumed entry must not resurface");
+        w.push(aliased, 2, 0);
+        assert_eq!(w.tail(aliased), Some((2, 0)));
     }
 
     #[test]

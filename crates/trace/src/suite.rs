@@ -183,17 +183,72 @@ struct TraceCacheState {
     stamp: u64,
 }
 
-/// Cache for traces, keyed by (name, length), LRU-capped.
-type TraceCache = Mutex<TraceCacheState>;
+/// Cache for traces, keyed by (name, length), LRU-capped. The process
+/// uses one instance ([`cached_trace`]); tests build their own so
+/// parallel tests cannot evict each other's entries.
+struct TraceCache {
+    state: Mutex<TraceCacheState>,
+}
 
 static TRACES: OnceLock<TraceCache> = OnceLock::new();
 
-#[cfg(test)]
-fn trace_cache_len() -> usize {
-    TRACES
-        .get()
-        .map(|l| l.lock().expect("trace cache poisoned").map.len())
-        .unwrap_or(0)
+impl TraceCache {
+    fn new() -> Self {
+        TraceCache {
+            state: Mutex::new(TraceCacheState {
+                map: HashMap::new(),
+                stamp: 0,
+            }),
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.state.lock().expect("trace cache poisoned").map.len()
+    }
+
+    /// See [`cached_trace`].
+    fn get(&self, name: &str, n: usize) -> Arc<Trace> {
+        let cell = {
+            let mut state = self.state.lock().expect("trace cache poisoned");
+            state.stamp += 1;
+            let stamp = state.stamp;
+            let key = (name.to_string(), n);
+            if let Some(e) = state.map.get_mut(&key) {
+                e.last_used = stamp;
+                e.cell.clone()
+            } else {
+                if state.map.len() >= TRACE_CACHE_CAP {
+                    // Evict the least recently used entry. O(cap) scan —
+                    // the cap is small and requests are rare relative to
+                    // runs.
+                    if let Some(victim) = state
+                        .map
+                        .iter()
+                        .min_by_key(|(_, e)| e.last_used)
+                        .map(|(k, _)| k.clone())
+                    {
+                        state.map.remove(&victim);
+                    }
+                }
+                let cell = Arc::new(OnceLock::new());
+                state.map.insert(
+                    key,
+                    TraceEntry {
+                        cell: cell.clone(),
+                        last_used: stamp,
+                    },
+                );
+                cell
+            }
+        };
+        cell.get_or_init(|| {
+            let g =
+                trace_by_name(name).unwrap_or_else(|| panic!("trace `{name}` is not in the suite"));
+            Arc::new(g.generate(n))
+        })
+        .clone()
+    }
 }
 
 /// Generates (or fetches from the process-wide cache) the trace `name`
@@ -212,49 +267,7 @@ fn trace_cache_len() -> usize {
 ///
 /// Panics if `name` is not registered in the suite.
 pub fn cached_trace(name: &str, n: usize) -> Arc<Trace> {
-    let lock = TRACES.get_or_init(|| {
-        Mutex::new(TraceCacheState {
-            map: HashMap::new(),
-            stamp: 0,
-        })
-    });
-    let cell = {
-        let mut state = lock.lock().expect("trace cache poisoned");
-        state.stamp += 1;
-        let stamp = state.stamp;
-        let key = (name.to_string(), n);
-        if let Some(e) = state.map.get_mut(&key) {
-            e.last_used = stamp;
-            e.cell.clone()
-        } else {
-            if state.map.len() >= TRACE_CACHE_CAP {
-                // Evict the least recently used entry. O(cap) scan — the
-                // cap is small and requests are rare relative to runs.
-                if let Some(victim) = state
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    state.map.remove(&victim);
-                }
-            }
-            let cell = Arc::new(OnceLock::new());
-            state.map.insert(
-                key,
-                TraceEntry {
-                    cell: cell.clone(),
-                    last_used: stamp,
-                },
-            );
-            cell
-        }
-    };
-    cell.get_or_init(|| {
-        let g = trace_by_name(name).unwrap_or_else(|| panic!("trace `{name}` is not in the suite"));
-        Arc::new(g.generate(n))
-    })
-    .clone()
+    TRACES.get_or_init(TraceCache::new).get(name, n)
 }
 
 #[cfg(test)]
@@ -284,13 +297,14 @@ mod tests {
 
     #[test]
     fn cache_returns_same_arc() {
-        let a = cached_trace("bfs_small", 2000);
-        let b = cached_trace("bfs_small", 2000);
+        let cache = TraceCache::new();
+        let a = cache.get("bfs_small", 2000);
+        let b = cache.get("bfs_small", 2000);
         assert!(Arc::ptr_eq(&a, &b), "same (name, len) must share one Arc");
         assert_eq!(a.instrs.len(), 2000);
         // The key is (name, len): a different length is a different entry,
         // not a truncation of the cached one.
-        let c = cached_trace("bfs_small", 1000);
+        let c = cache.get("bfs_small", 1000);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(c.instrs.len(), 1000);
     }
@@ -311,17 +325,18 @@ mod tests {
         // Request far more distinct (name, len) cells than the cap; the
         // map must never exceed TRACE_CACHE_CAP. Use tiny lengths so the
         // test is cheap (distinct lengths are distinct keys).
+        let cache = TraceCache::new();
         for i in 0..(TRACE_CACHE_CAP * 2) {
-            let _ = cached_trace("bwaves_like", 16 + i);
-            assert!(trace_cache_len() <= TRACE_CACHE_CAP);
+            let _ = cache.get("bwaves_like", 16 + i);
+            assert!(cache.len() <= TRACE_CACHE_CAP);
         }
-        assert!(trace_cache_len() <= TRACE_CACHE_CAP);
+        assert!(cache.len() <= TRACE_CACHE_CAP);
         // A hot entry survives a pass of inserts (true recency, not FIFO):
         // touch one key between every insert of the second wave.
-        let hot = cached_trace("bwaves_like", 7777);
+        let hot = cache.get("bwaves_like", 7777);
         for i in 0..TRACE_CACHE_CAP {
-            let _ = cached_trace("bwaves_like", 9000 + i);
-            let again = cached_trace("bwaves_like", 7777);
+            let _ = cache.get("bwaves_like", 9000 + i);
+            let again = cache.get("bwaves_like", 7777);
             assert!(Arc::ptr_eq(&hot, &again), "hot entry must not be evicted");
         }
     }

@@ -27,8 +27,8 @@ echo "== cargo test -q"
 cargo test -q
 
 echo "== repro --quiet produces no stderr"
-# The root `cargo build --release` covers only the root package; the
-# repro binary lives in secpref-bench and must be built explicitly.
+# The root `cargo build --release` already builds every workspace member
+# (`default-members`); naming the repro binary keeps this step explicit.
 cargo build --release -p secpref-bench --bin repro
 stderr_file="$(mktemp)"
 trap 'rm -f "$stderr_file"' EXIT
