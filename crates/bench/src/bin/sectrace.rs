@@ -33,6 +33,7 @@ use secpref_tracestore::{
     format::{export_strace, import_strace},
     CaptureSink, TraceReader, TraceWriter, DEFAULT_CHUNK_SIZE,
 };
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
@@ -50,12 +51,7 @@ fn usage() -> ! {
 /// FNV-1a 64 over the canonical report text — the same digest scheme the
 /// pinned report-digest tripwire uses.
 fn report_digest(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64(text.as_bytes(), FNV_OFFSET)
 }
 
 fn open_reader(path: &str) -> TraceReader<BufReader<File>> {

@@ -21,6 +21,7 @@ use secpref_sim::{run_single_with_window_obs, ObsConfig, SimReport, System};
 use secpref_trace::gen::gap::GapKernel;
 use secpref_trace::suite::{trace_by_name, GapGenerator};
 use secpref_trace::{Trace, TraceGenerator};
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 use secpref_types::{CorePolicy, PrefetchMode, PrefetcherKind, SecureMode, SystemConfig};
 
 const WARMUP: u64 = 2_000;
@@ -48,15 +49,6 @@ const PINNED_MIX: u64 = 0x4D561F0454111ACD;
 /// Expected digest of the events JSONL of an obs-enabled run of the
 /// GhostMinion cell on the BC trace (report digest, then events digest).
 const PINNED_OBS: (u64, u64) = (0xC502DBDCCCF86560, 0xF2120EA95CC7FBFE);
-
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// Shrinks the L1D until both MSHRs and ports are a bottleneck.
 fn contended(mut cfg: SystemConfig) -> SystemConfig {
@@ -127,7 +119,7 @@ fn contended_single_core_reports_are_pinned() {
             assert_eq!((pl, pt), (label, *trace_name), "cell order changed");
             let r = run(cfg.clone(), vec![trace.clone()]);
             assert_contended(label, &r);
-            let actual = fnv1a64(report_to_string(&r).as_bytes());
+            let actual = fnv1a64(report_to_string(&r).as_bytes(), FNV_OFFSET);
             if actual != expected {
                 mismatches.push(format!(
                     "    (\"{label}\", \"{trace_name}\", {actual:#018X}), // was {expected:#018X}"
@@ -151,7 +143,7 @@ fn contended_two_core_mix_is_pinned() {
     let [(_, bc), (_, bwaves)] = traces();
     let r = run(cfg, vec![bc, bwaves]);
     assert_contended("mix", &r);
-    let actual = fnv1a64(report_to_string(&r).as_bytes());
+    let actual = fnv1a64(report_to_string(&r).as_bytes(), FNV_OFFSET);
     assert_eq!(
         actual, PINNED_MIX,
         "mix digest moved: {actual:#018X} (pinned {PINNED_MIX:#018X})"
@@ -167,8 +159,8 @@ fn contended_obs_capture_is_pinned() {
     assert_contended("obs", &r);
     let cap = cap.expect("obs was enabled");
     let actual = (
-        fnv1a64(report_to_string(&r).as_bytes()),
-        fnv1a64(events_jsonl(&cap, &obs).as_bytes()),
+        fnv1a64(report_to_string(&r).as_bytes(), FNV_OFFSET),
+        fnv1a64(events_jsonl(&cap, &obs).as_bytes(), FNV_OFFSET),
     );
     assert_eq!(
         actual, PINNED_OBS,

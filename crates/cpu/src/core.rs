@@ -149,6 +149,44 @@ impl LqEntry {
 /// time table.
 const NOT_DONE: Cycle = Cycle::MAX;
 
+/// A set of load-queue slots, one bit per slot.
+#[derive(Debug)]
+struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    fn new(slots: usize) -> Self {
+        SlotSet(vec![0; slots.div_ceil(64)])
+    }
+
+    #[inline]
+    fn insert(&mut self, slot: usize) {
+        self.0[slot / 64] |= 1 << (slot % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, slot: usize) {
+        self.0[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The members of word `w`, ascending. The word is copied, so the
+    /// caller may change the set while walking it.
+    #[inline]
+    fn word(&self, w: usize) -> impl Iterator<Item = usize> {
+        let mut bits = self.0[w];
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    }
+}
+
 /// One branch-resolve heap entry:
 /// `(resolve_at, ts, ip_raw, trace_idx, taken | predicted << 1)`.
 /// Metadata lives inline (ts is unique per dispatch, so the trailing
@@ -212,9 +250,15 @@ pub struct Core {
     predictor: PerceptronPredictor,
     resolve_heap: BinaryHeap<Reverse<ResolveEntry>>,
     dispatch_stall_until: Cycle,
-    /// Load-queue entries that are in use but not yet issued; lets
-    /// `issue_loads` skip the LQ scan entirely on quiet cycles.
-    lq_pending: usize,
+    /// Unissued load-queue slots whose producer load has completed (or
+    /// that have none): the only slots `issue_loads` and `next_wake`
+    /// visit, in ascending slot order.
+    issuable: SlotSet,
+    /// Unissued load-queue slots whose producer's `load_done_at` is still
+    /// `NOT_DONE`. `complete_load` moves a producer's dependents to
+    /// `issuable`; nothing else can end the wait while they are queued
+    /// (DESIGN.md §10).
+    waiting: SlotSet,
     next_ts: u64,
     /// Per-trace-index load completion times, indexed by
     /// `trace_idx & done_mask`. For in-memory feeds the table is
@@ -258,7 +302,8 @@ impl Core {
             predictor: PerceptronPredictor::new(),
             resolve_heap: BinaryHeap::new(),
             dispatch_stall_until: 0,
-            lq_pending: 0,
+            issuable: SlotSet::new(lq_n),
+            waiting: SlotSet::new(lq_n),
             next_ts: 1,
             load_done_at: vec![NOT_DONE; done_len],
             done_mask,
@@ -313,8 +358,14 @@ impl Core {
         self.lq.len() - self.lq_free.len()
     }
 
-    /// Delivers a load completion from the memory system. Stale
-    /// generations (squashed slots) are ignored.
+    /// Load-queue slots whose producer load has not completed yet.
+    pub fn lq_waiting(&self) -> usize {
+        self.waiting.len()
+    }
+
+    /// Delivers a load completion from the memory system and makes the
+    /// loads waiting on it issuable. Stale generations (squashed slots)
+    /// are ignored.
     pub fn complete_load(&mut self, lq_id: u32, gen: u32, fill: FillInfo) {
         if lq_id == LoadIssue::WRONG_PATH {
             return;
@@ -326,6 +377,14 @@ impl Core {
         e.fill = Some(fill);
         let slot = e.trace_idx as usize & self.done_mask;
         self.load_done_at[slot] = fill.filled_at;
+        for w in 0..self.waiting.0.len() {
+            for i in self.waiting.word(w) {
+                if self.lq[i].dep_idx.map(|d| d as usize & self.done_mask) == Some(slot) {
+                    self.waiting.remove(i);
+                    self.issuable.insert(i);
+                }
+            }
+        }
     }
 
     /// Advances the core by one cycle: retire → resolve branches →
@@ -367,20 +426,15 @@ impl Core {
         if let Some(&Reverse((at, ..))) = self.resolve_heap.peek() {
             wake = wake.min(at.max(now + 1));
         }
-        if self.lq_pending > 0 {
-            for e in &self.lq {
-                if !e.in_use || e.issued {
-                    continue;
-                }
+        // Waiting loads wake via their producer's completion.
+        for w in 0..self.issuable.0.len() {
+            for i in self.issuable.word(w) {
+                let e = &self.lq[i];
                 let at = match e.dep_idx {
-                    Some(dep) => {
-                        let done = self.load_done_at[dep as usize & self.done_mask];
-                        if done == NOT_DONE {
-                            continue; // wakes via the producer's completion
-                        }
-                        // issue_loads requires done < now, i.e. done + 1.
-                        e.ready_at.max(done + 1)
-                    }
+                    // issue_loads requires done < now, i.e. done + 1.
+                    Some(dep) => e
+                        .ready_at
+                        .max(self.load_done_at[dep as usize & self.done_mask] + 1),
                     None => e.ready_at,
                 };
                 wake = wake.min(at.max(now + 1));
@@ -488,18 +542,7 @@ impl Core {
             let e = self.rob.pop_back().expect("back exists");
             self.stats.squashed += 1;
             if matches!(e.kind, RobKind::Load) {
-                let lq = &mut self.lq[e.lq_id as usize];
-                let was_unissued = !lq.issued;
-                lq.in_use = false;
-                lq.gen = lq.gen.wrapping_add(1);
-                lq.fill = None;
-                self.lq_free.push(e.lq_id);
-                // Its completion, if it landed, must not satisfy the
-                // re-dispatched instance's dependents prematurely.
-                self.load_done_at[e.trace_idx as usize & self.done_mask] = NOT_DONE;
-                if was_unissued {
-                    self.lq_pending -= 1;
-                }
+                self.discard_load(&e);
             }
             // Squashed branches leave their resolve_heap entry behind;
             // resolve finds their ts gone from the ROB and skips them.
@@ -508,45 +551,83 @@ impl Core {
         self.dispatch_stall_until = now + self.cfg.mispredict_penalty;
     }
 
+    /// True when `dep_idx` names a producer load that has not completed.
+    fn producer_pending(&self, dep_idx: Option<u32>) -> bool {
+        dep_idx.is_some_and(|p| self.load_done_at[p as usize & self.done_mask] == NOT_DONE)
+    }
+
+    /// Frees the load-queue slot of a squashed or drained load.
+    fn discard_load(&mut self, e: &RobEntry) {
+        let lq = &mut self.lq[e.lq_id as usize];
+        lq.in_use = false;
+        lq.gen = lq.gen.wrapping_add(1);
+        lq.fill = None;
+        self.lq_free.push(e.lq_id);
+        self.issuable.remove(e.lq_id as usize);
+        self.waiting.remove(e.lq_id as usize);
+        // Its completion, if it landed, must not satisfy the
+        // re-dispatched instance's dependents prematurely.
+        self.load_done_at[e.trace_idx as usize & self.done_mask] = NOT_DONE;
+    }
+
+    /// Issues up to `load_issue_width` issuable loads, lowest slot first.
     fn issue_loads(&mut self, now: Cycle, mem: &mut dyn LoadPort) {
-        if self.lq_pending == 0 {
-            return;
-        }
+        #[cfg(debug_assertions)]
+        self.check_slot_sets();
         let mut issued = 0;
-        for i in 0..self.lq.len() {
-            if issued >= self.cfg.load_issue_width {
-                break;
-            }
-            // By reference: copying the whole LqEntry per slot per cycle
-            // was one of the simulator's largest single costs.
-            let e = &self.lq[i];
-            if !e.in_use || e.issued || e.ready_at > now {
-                continue;
-            }
-            if let Some(dep) = e.dep_idx {
-                let done = self.load_done_at[dep as usize & self.done_mask];
-                if done == NOT_DONE || done >= now {
-                    continue; // producer not finished yet
+        for w in 0..self.issuable.0.len() {
+            for i in self.issuable.word(w) {
+                if issued >= self.cfg.load_issue_width {
+                    return;
+                }
+                let e = &self.lq[i];
+                if e.ready_at > now {
+                    continue;
+                }
+                if let Some(dep) = e.dep_idx {
+                    if self.load_done_at[dep as usize & self.done_mask] >= now {
+                        continue; // producer not finished yet
+                    }
+                }
+                let req = LoadIssue {
+                    core: self.id,
+                    lq_id: i as u32,
+                    gen: e.gen,
+                    addr: e.addr,
+                    ip: e.ip,
+                    ts: e.ts,
+                    wrong_path: false,
+                };
+                if mem.try_issue_load(now, req) {
+                    self.lq[i].issued = true;
+                    self.issuable.remove(i);
+                    issued += 1;
+                } else {
+                    self.stats.issue_rejects += 1;
+                    return; // memory is backpressuring; retry next cycle
                 }
             }
-            let req = LoadIssue {
-                core: self.id,
-                lq_id: i as u32,
-                gen: e.gen,
-                addr: e.addr,
-                ip: e.ip,
-                ts: e.ts,
-                wrong_path: false,
-            };
-            if mem.try_issue_load(now, req) {
-                self.lq[i].issued = true;
-                self.lq_pending -= 1;
-                issued += 1;
+        }
+    }
+
+    /// Debug-build oracle: recomputes both slot sets from the load queue
+    /// and the completion table, the predicate the linear LQ scan used.
+    #[cfg(debug_assertions)]
+    fn check_slot_sets(&self) {
+        let mut issuable = SlotSet::new(self.lq.len());
+        let mut waiting = SlotSet::new(self.lq.len());
+        for (i, e) in self.lq.iter().enumerate() {
+            if !e.in_use || e.issued {
+                continue;
+            }
+            if self.producer_pending(e.dep_idx) {
+                waiting.insert(i);
             } else {
-                self.stats.issue_rejects += 1;
-                break; // memory is backpressuring; retry next cycle
+                issuable.insert(i);
             }
         }
+        assert_eq!(issuable.0, self.issuable.0, "issuable set drifted");
+        assert_eq!(waiting.0, self.waiting.0, "waiting set drifted");
     }
 
     fn dispatch(&mut self, now: Cycle, mem: &mut dyn LoadPort) {
@@ -598,7 +679,11 @@ impl Core {
                         fill: None,
                     };
                     self.load_done_at[trace_idx as usize & self.done_mask] = NOT_DONE;
-                    self.lq_pending += 1;
+                    if self.producer_pending(dep_idx) {
+                        self.waiting.insert(lq_id as usize);
+                    } else {
+                        self.issuable.insert(lq_id as usize);
+                    }
                     let mut e = RobEntry {
                         trace_idx,
                         ts,
@@ -679,16 +764,7 @@ impl Core {
         let oldest = self.rob.front().map(|e| e.trace_idx);
         while let Some(e) = self.rob.pop_back() {
             if matches!(e.kind, RobKind::Load) {
-                let lq = &mut self.lq[e.lq_id as usize];
-                let was_unissued = !lq.issued;
-                lq.in_use = false;
-                lq.gen = lq.gen.wrapping_add(1);
-                lq.fill = None;
-                self.lq_free.push(e.lq_id);
-                self.load_done_at[e.trace_idx as usize & self.done_mask] = NOT_DONE;
-                if was_unissued {
-                    self.lq_pending -= 1;
-                }
+                self.discard_load(&e);
             }
         }
         if let Some(idx) = oldest {

@@ -11,13 +11,11 @@
 
 use crate::scale::ExpScale;
 use secpref_sim::{
-    run_multi_sampled_with_window, run_multi_with_window, run_multi_with_window_obs,
-    run_multi_with_window_tel, run_single_sampled_with_window, run_single_with_window,
-    run_single_with_window_obs, run_single_with_window_tel, run_stream_sampled_with_window,
-    run_stream_with_window, ObsCapture, ObsConfig, SimReport, TelCapture, TelConfig,
+    ObsCapture, ObsConfig, SimReport, StreamFeed, System, TelCapture, TelConfig, TraceFeed,
 };
 use secpref_trace::suite;
-use secpref_types::{SamplingConfig, SystemConfig};
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
+use secpref_types::{CacheConfig, SamplingConfig, SystemConfig};
 use std::path::PathBuf;
 
 /// What a job simulates: one trace on one core, a multi-core mix, or a
@@ -130,9 +128,9 @@ impl JobSpec {
         })
     }
 
-    /// Switches the job to SMARTS-style sampled execution. Only
-    /// [`JobSpec::run`] honors the plan; traced and telemetry runs are
-    /// debugging paths and always execute full detail.
+    /// Switches the job to SMARTS-style sampled execution. Every runner
+    /// ([`JobSpec::run`], [`JobSpec::run_traced`],
+    /// [`JobSpec::run_telemetry`]) honors the plan.
     pub fn with_sampling(mut self, s: SamplingConfig) -> Self {
         self.sampling = Some(s);
         self
@@ -177,7 +175,7 @@ impl JobSpec {
     /// Content-addressed job key: FNV-1a 64 of [`JobSpec::canonical`],
     /// as 16 hex digits.
     pub fn key(&self) -> String {
-        format!("{:016x}", fnv1a64(self.canonical().as_bytes()))
+        format!("{:016x}", fnv1a64(self.canonical().as_bytes(), FNV_OFFSET))
     }
 
     /// Short label for progress lines and timing exports.
@@ -201,41 +199,51 @@ impl JobSpec {
         )
     }
 
+    /// Builds the system this job simulates: one core per trace, the
+    /// LLC sized for that core count, and the job's windows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stream job's chunk store cannot be opened. The store
+    /// was validated when the spec was built, so this means it vanished
+    /// or was corrupted since.
+    fn system(&self) -> System {
+        let (warmup, measure) = self.window();
+        let mut cfg = self.cfg.clone();
+        let feeds: Vec<TraceFeed> = match &self.workload {
+            Workload::Single(_) | Workload::Mix(_) => self
+                .workload
+                .trace_names()
+                .into_iter()
+                .map(|n| TraceFeed::Mem(suite::cached_trace(n, self.scale.trace_len())))
+                .collect(),
+            Workload::Stream { path, .. } => {
+                let feed = StreamFeed::open_for_core(path, cfg.core.rob_entries)
+                    .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()));
+                vec![TraceFeed::Stream(Box::new(feed))]
+            }
+        };
+        cfg.cores = feeds.len();
+        cfg.llc = CacheConfig::baseline_llc(cfg.cores);
+        System::from_feeds(cfg, feeds).with_window(warmup, measure)
+    }
+
+    /// Runs `sys` in full detail, or sampled when the job has a plan.
+    fn execute(&self, sys: &mut System) {
+        match &self.sampling {
+            None => sys.run(),
+            Some(s) => sys.run_sampled(s),
+        }
+    }
+
     /// Executes the job (synchronously, on the calling thread).
     ///
     /// Traces come from `secpref_trace::suite::cached_trace`, so repeated
     /// jobs over the same trace share one generated copy per process.
     pub fn run(&self) -> SimReport {
-        let (warmup, measure) = self.window();
-        match (&self.workload, self.sampling.as_ref()) {
-            (Workload::Single(name), None) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_with_window(&self.cfg, &trace, warmup, measure)
-            }
-            (Workload::Single(name), Some(s)) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_sampled_with_window(&self.cfg, &trace, warmup, measure, s)
-            }
-            (Workload::Mix(names), sampling) => {
-                let traces: Vec<_> = names
-                    .iter()
-                    .map(|n| suite::cached_trace(n, self.scale.trace_len()))
-                    .collect();
-                match sampling {
-                    None => run_multi_with_window(&self.cfg, traces, warmup, measure),
-                    Some(s) => run_multi_sampled_with_window(&self.cfg, traces, warmup, measure, s),
-                }
-            }
-            (Workload::Stream { path, .. }, sampling) => {
-                // The store was validated when the spec was built; a
-                // failure here means it vanished or was corrupted since.
-                match sampling {
-                    None => run_stream_with_window(&self.cfg, path, warmup, measure),
-                    Some(s) => run_stream_sampled_with_window(&self.cfg, path, warmup, measure, s),
-                }
-                .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()))
-            }
-        }
+        let mut sys = self.system();
+        self.execute(&mut sys);
+        sys.report()
     }
 
     /// Executes the job with an observability recorder attached.
@@ -244,40 +252,12 @@ impl JobSpec {
     /// job key — it cannot change the simulation outcome, and traced runs
     /// bypass the result store entirely (see `Engine::run_traced`).
     pub fn run_traced(&self, obs: &ObsConfig) -> (SimReport, Option<ObsCapture>) {
-        let (warmup, measure) = self.window();
-        match &self.workload {
-            Workload::Single(name) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_with_window_obs(&self.cfg, &trace, warmup, measure, obs)
-            }
-            Workload::Mix(names) => {
-                let traces = names
-                    .iter()
-                    .map(|n| suite::cached_trace(n, self.scale.trace_len()))
-                    .collect();
-                run_multi_with_window_obs(&self.cfg, traces, warmup, measure, obs)
-            }
-            Workload::Stream { path, .. } => {
-                let mut cfg = self.cfg.clone();
-                cfg.cores = 1;
-                cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-                let feed = secpref_sim::StreamFeed::open_for_core(path, cfg.core.rob_entries)
-                    .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()));
-                let mut sys = secpref_sim::System::from_feeds(
-                    cfg,
-                    vec![secpref_sim::TraceFeed::Stream(Box::new(feed))],
-                )
-                .with_window(warmup, measure)
-                .with_obs(obs);
-                sys.run();
-                let capture = sys.take_obs();
-                (sys.report(), capture)
-            }
-        }
+        let mut sys = self.system().with_obs(obs);
+        self.execute(&mut sys);
+        let capture = sys.take_obs();
+        (sys.report(), capture)
     }
-}
 
-impl JobSpec {
     /// Executes the job with a telemetry recorder attached.
     ///
     /// Like [`JobSpec::run_traced`], the telemetry configuration is *not*
@@ -285,52 +265,17 @@ impl JobSpec {
     /// outcome (it records at existing event sites), and telemetry runs
     /// bypass the result store (see `Engine::run_telemetry`).
     pub fn run_telemetry(&self, tel: &TelConfig) -> (SimReport, Option<TelCapture>) {
-        let (warmup, measure) = self.window();
-        match &self.workload {
-            Workload::Single(name) => {
-                let trace = suite::cached_trace(name, self.scale.trace_len());
-                run_single_with_window_tel(&self.cfg, &trace, warmup, measure, tel)
-            }
-            Workload::Mix(names) => {
-                let traces = names
-                    .iter()
-                    .map(|n| suite::cached_trace(n, self.scale.trace_len()))
-                    .collect();
-                run_multi_with_window_tel(&self.cfg, traces, warmup, measure, tel)
-            }
-            Workload::Stream { path, .. } => {
-                let mut cfg = self.cfg.clone();
-                cfg.cores = 1;
-                cfg.llc = secpref_types::CacheConfig::baseline_llc(1);
-                let feed = secpref_sim::StreamFeed::open_for_core(path, cfg.core.rob_entries)
-                    .unwrap_or_else(|e| panic!("chunk store {}: {e}", path.display()));
-                let mut sys = secpref_sim::System::from_feeds(
-                    cfg,
-                    vec![secpref_sim::TraceFeed::Stream(Box::new(feed))],
-                )
-                .with_window(warmup, measure)
-                .with_telemetry(tel);
-                sys.run();
-                let capture = sys.take_telemetry();
-                (sys.report(), capture)
-            }
-        }
+        let mut sys = self.system().with_telemetry(tel);
+        self.execute(&mut sys);
+        let capture = sys.take_telemetry();
+        (sys.report(), capture)
     }
-}
-
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::report_to_string;
     use secpref_types::{PrefetchMode, PrefetcherKind, SecureMode};
 
     fn base_job() -> JobSpec {
@@ -458,11 +403,61 @@ mod tests {
         assert_ne!(sampled.key(), other.key());
     }
 
+    /// Captures `name` at quick scale to a `.sct` under the temp dir.
+    fn capture_stream(name: &str) -> PathBuf {
+        let trace = suite::cached_trace(name, ExpScale::Quick.trace_len());
+        let path =
+            std::env::temp_dir().join(format!("secpref-job-{name}-{}.sct", std::process::id()));
+        let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        let mut w = secpref_tracestore::TraceWriter::create(file, name, 4096).unwrap();
+        for i in trace.instrs.iter() {
+            w.push(i).unwrap();
+        }
+        let (_, mut file) = w.finish().unwrap();
+        std::io::Write::flush(&mut file).unwrap();
+        path
+    }
+
+    #[test]
+    fn instrumented_runs_honor_sampling() {
+        // Obs and telemetry runs share the sampled job's key, so they
+        // must run its plan: all three runners give the same report.
+        let cfg = SystemConfig::baseline(1)
+            .with_secure(SecureMode::GhostMinion)
+            .with_prefetcher(PrefetcherKind::IpStride)
+            .with_mode(PrefetchMode::OnCommit)
+            .with_suf(true);
+        let s = SamplingConfig::new(2_000, 500, 4_000).with_jitter(300, 11);
+        let path = capture_stream("leela_like");
+        let jobs = [
+            JobSpec::single(cfg.clone(), "leela_like", ExpScale::Quick).with_sampling(s),
+            JobSpec::stream(cfg, path.clone(), ExpScale::Quick)
+                .unwrap()
+                .with_sampling(s),
+        ];
+        for job in &jobs {
+            let plain = job.run();
+            assert!(plain.sampling.is_some(), "{}", job.label());
+            let plain = report_to_string(&plain);
+            let (traced, capture) = job.run_traced(&ObsConfig::enabled());
+            assert!(capture.is_some());
+            assert_eq!(report_to_string(&traced), plain, "obs: {}", job.label());
+            let (tel, capture) = job.run_telemetry(&TelConfig::enabled());
+            assert!(capture.is_some());
+            assert_eq!(report_to_string(&tel), plain, "telemetry: {}", job.label());
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
     #[test]
     fn fnv_reference_values() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Job keys are standard FNV-1a 64 of the canonical string, so
+        // existing store keys survive any change to how it is computed.
+        assert_eq!(fnv1a64(b"foobar", FNV_OFFSET), 0x85944171f73967e8);
+        let j = base_job();
+        assert_eq!(
+            j.key(),
+            format!("{:016x}", fnv1a64(j.canonical().as_bytes(), FNV_OFFSET))
+        );
     }
 }

@@ -16,6 +16,7 @@
 
 use crate::metrics::MissClassCounts;
 use secpref_prefetch::{AccessEvent, FillEvent, PfBuf, Prefetcher};
+use secpref_types::fnv::{fnv1a64, FNV_OFFSET};
 use secpref_types::{Cycle, LineAddr};
 use std::collections::VecDeque;
 
@@ -65,12 +66,7 @@ impl IssueTracker {
     /// FNV-1a over the line address's little-endian bytes.
     #[inline]
     fn home(line: u64) -> usize {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for b in line.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h as usize) & (TRACK_SLOTS - 1)
+        (fnv1a64(&line.to_le_bytes(), FNV_OFFSET) as usize) & (TRACK_SLOTS - 1)
     }
 
     /// Slot index of `line` if tracked.

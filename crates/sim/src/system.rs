@@ -506,42 +506,10 @@ impl System {
                     last_progress.1
                 );
             }
-            let mut next_cycle = now + 1;
             // Idle fast-forward. Gated on `!progressed` because warm-up
             // and finish boundaries are recorded on the cycle *after*
             // the crossing retirement — that cycle must be processed.
-            // With no retirement this cycle, the boundary checks, the
-            // replay check, and the watchdog are all no-ops until the
-            // next wake, so skipping to it is exact.
-            if fast_forward && !progressed {
-                let mut wake = self.hierarchy.next_due(now);
-                if wake > next_cycle {
-                    for st in &mut self.cores {
-                        if st.finished_cycle.is_some() {
-                            continue;
-                        }
-                        // A core awaiting trace replay re-enters at the
-                        // next processed cycle; never skip past it.
-                        let w = if st.core.is_done() {
-                            next_cycle
-                        } else {
-                            st.core.next_wake(now)
-                        };
-                        wake = wake.min(w);
-                        if wake <= next_cycle {
-                            break;
-                        }
-                    }
-                }
-                if wake > next_cycle {
-                    // Cap so a genuine livelock still reaches the
-                    // watchdog assert instead of jumping to Cycle::MAX.
-                    let wake = wake.min(now.saturating_add(WATCHDOG_CYCLES));
-                    self.hierarchy.account_idle_cycles(wake - now - 1);
-                    next_cycle = wake;
-                }
-            }
-            self.now = next_cycle;
+            self.now = self.next_cycle(now, fast_forward && !progressed);
         }
         self.hierarchy.finalize();
         self.finished = true;
@@ -825,33 +793,47 @@ impl System {
                     last_progress.1
                 );
             }
-            let mut next_cycle = now + 1;
-            if fast_forward && !progressed {
-                let mut wake = self.hierarchy.next_due(now);
-                if wake > next_cycle {
-                    for st in &mut self.cores {
-                        if st.finished_cycle.is_some() {
-                            continue;
-                        }
-                        let w = if st.core.is_done() {
-                            next_cycle
-                        } else {
-                            st.core.next_wake(now)
-                        };
-                        wake = wake.min(w);
-                        if wake <= next_cycle {
-                            break;
-                        }
-                    }
-                }
-                if wake > next_cycle {
-                    let wake = wake.min(now.saturating_add(WATCHDOG_CYCLES));
-                    self.hierarchy.account_idle_cycles(wake - now - 1);
-                    next_cycle = wake;
-                }
-            }
-            self.now = next_cycle;
+            self.now = self.next_cycle(now, fast_forward && !progressed);
         }
+    }
+
+    /// The next cycle a run loop must process after `now`: `now + 1`,
+    /// or with `skip` the earliest cycle anything can happen — the
+    /// hierarchy's next due event or an unfinished core's
+    /// [`Core::next_wake`]. Callers pass `skip` only on cycles without a
+    /// retirement; then the boundary checks, the replay check and the
+    /// watchdog are all no-ops until the next wake, so the jump is exact.
+    /// Skipped cycles' MSHR occupancy is folded in via
+    /// [`Hierarchy::account_idle_cycles`].
+    fn next_cycle(&mut self, now: Cycle, skip: bool) -> Cycle {
+        let next = now + 1;
+        if !skip {
+            return next;
+        }
+        let mut wake = self.hierarchy.next_due(now);
+        for st in &mut self.cores {
+            if wake <= next {
+                return next;
+            }
+            if st.finished_cycle.is_some() {
+                continue;
+            }
+            // A core awaiting trace replay re-enters at the next
+            // processed cycle; never skip past it.
+            wake = wake.min(if st.core.is_done() {
+                next
+            } else {
+                st.core.next_wake(now)
+            });
+        }
+        if wake <= next {
+            return next;
+        }
+        // Cap so a genuine livelock still reaches the watchdog assert
+        // instead of jumping to Cycle::MAX.
+        let wake = wake.min(now.saturating_add(WATCHDOG_CYCLES));
+        self.hierarchy.account_idle_cycles(wake - now - 1);
+        wake
     }
 
     /// Drains in-flight detailed state before switching to functional

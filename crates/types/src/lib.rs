@@ -22,6 +22,7 @@
 
 pub mod addr;
 pub mod config;
+pub mod fnv;
 pub mod hist;
 pub mod level;
 pub mod req;

@@ -23,6 +23,11 @@ cargo build --release
 echo "== cargo build --release --examples"
 cargo build --release --examples
 
+echo "== cargo build secbench (the repo benchmark; build only)"
+# secbench is its own package outside the workspace, so the builds
+# above never compile it; a public-API change could break it unnoticed.
+cargo build --release --offline --manifest-path secbench/Cargo.toml
+
 echo "== cargo test -q"
 cargo test -q
 
